@@ -47,11 +47,10 @@ audit-race:
 	$(GO) test -race -count=2 ./internal/audit ./internal/dataplane ./internal/netsim ./internal/packetsim ./internal/netd
 
 # The versioned-FIB concurrency surface: wait-free lookups racing batched
-# generation commits (map FIB and LPM trie), plus the daemon runtime driving
-# real routers' FIBs while packets forward, and the incremental route table
-# feeding them.
+# generation commits, plus the daemon runtime driving real routers' FIBs
+# while packets forward, and the incremental route table feeding them.
 fib-race:
-	$(GO) test -race -count=2 ./internal/dataplane ./internal/lpm ./internal/core ./internal/bgp
+	$(GO) test -race -count=2 ./internal/dataplane ./internal/core ./internal/bgp
 
 # The convergence tracer's concurrency surface: producers push spans into
 # lock-free ring segments from simulator/daemon goroutines while the
@@ -76,7 +75,7 @@ conv-smoke:
 	$(GO) run ./cmd/mifo-conv -events -min-events 6 /tmp/mifo-spans.jsonl
 
 bench:
-	$(GO) test -run xxx -bench=. -benchmem . ./internal/dataplane ./internal/audit ./internal/bgp ./internal/lpm ./internal/obs/span ./internal/obs/tsdb
+	$(GO) test -run xxx -bench=. -benchmem . ./internal/dataplane ./internal/audit ./internal/bgp ./internal/obs/span ./internal/obs/tsdb
 
 # Machine-readable benchmark results for regression tracking: the
 # forwarding hot path plus the flight recorder at every setting

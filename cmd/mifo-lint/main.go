@@ -1,7 +1,7 @@
 // Command mifo-lint runs the mifolint analyzer suite (internal/lint): the
 // static enforcement of the repository's concurrency and hot-path
-// contracts — generation immutability of the versioned FIB and LPM trie,
-// the //mifo:hotpath allocation/lock budget, obs metric naming,
+// contracts — generation immutability of the versioned FIB, the
+// //mifo:hotpath allocation/lock budget, obs metric naming,
 // lock-scope hygiene, the //mifo:ring publish protocol (ringorder), the
 // builder-publish freeze of arena memory (arenafreeze), and goroutine
 // lifecycle ownership (lifecycle) — plus native ports of the non-default

@@ -341,8 +341,10 @@ func TestRefreshClearsAltWhenNoAlternative(t *testing.T) {
 	d := NewDeployment(g, Config{})
 	table := bgp.Compute(g, 0)
 	d.InstallDestination(table)
-	d.Refresh()
+	// A stale alternative from an earlier epoch must be cleared, not kept.
 	r := d.Routers(2)[0]
+	r.FIB.SetAlt(0, 0, r.Ports[0].Peer)
+	d.Refresh()
 	e, ok := r.FIB.Lookup(0)
 	if !ok || e.Alt != -1 {
 		t.Errorf("entry = %+v, want no alternative", e)

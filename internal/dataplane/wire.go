@@ -14,7 +14,7 @@ import (
 //     outer IPv4 header whose source/destination are the router addresses.
 //
 // Router IDs and destination prefixes map into the 10.0.0.0/8 and
-// 198.18.0.0/15 spaces respectively, which keeps the headers valid and
+// 198.18.0.0/16 spaces respectively, which keeps the headers valid and
 // readable in hex dumps while staying inside documentation/benchmark
 // address ranges.
 
@@ -24,6 +24,9 @@ const (
 	protoIPinIP    = 4
 	protoTCP       = 6
 	defaultWireTTL = 64
+
+	prefixNet  = 0xC6120000 // 198.18.0.0
+	prefixMask = 0xFFFF0000 // /16: destination ids below 1<<16
 )
 
 // RouterAddr returns the 10.x.y.z address of a router.
@@ -36,14 +39,16 @@ func RouterFromAddr(addr uint32) RouterID {
 	return RouterID(addr & 0x00FFFFFF)
 }
 
-// PrefixAddr returns the 198.18.x.y address of a destination prefix.
+// PrefixAddr returns the 198.18.x.y address of a destination prefix. Only
+// the low 16 bits of dst fit: callers that put larger ids on the wire
+// must refuse them up front (see netd.NewFabric).
 func PrefixAddr(dst int32) uint32 {
-	return 0xC6120000 | uint32(dst)&0x0000FFFF
+	return prefixNet | uint32(dst)&^prefixMask
 }
 
 // PrefixFromAddr inverts PrefixAddr.
 func PrefixFromAddr(addr uint32) int32 {
-	return int32(addr & 0x0000FFFF)
+	return int32(addr &^ prefixMask)
 }
 
 // MarshalPacket serializes p as an IPv4 datagram (with an outer IP-in-IP
@@ -77,7 +82,9 @@ func MarshalPacket(p *Packet) []byte {
 	})
 }
 
-// UnmarshalPacket parses a datagram produced by MarshalPacket.
+// UnmarshalPacket parses a datagram produced by MarshalPacket. The inner
+// destination must be a prefix address (198.18.0.0/16): anything else —
+// a router address included — has no destination id and is rejected.
 func UnmarshalPacket(b []byte) (*Packet, error) {
 	hdr, err := parseIPv4(b)
 	if err != nil {
@@ -92,6 +99,9 @@ func UnmarshalPacket(b []byte) (*Packet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataplane: inner packet: %w", err)
 		}
+	}
+	if hdr.dstAddr&prefixMask != prefixNet {
+		return nil, fmt.Errorf("dataplane: destination %s is not a prefix address", ipString(hdr.dstAddr))
 	}
 	sp, dp, err := parsePorts(hdr.payload)
 	if err != nil {

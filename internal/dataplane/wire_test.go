@@ -87,6 +87,18 @@ func TestWireChecksumValidity(t *testing.T) {
 	}
 }
 
+// marshalToAddr serializes the sample packet with the given inner
+// destination address.
+func marshalToAddr(dst uint32, encap bool) []byte {
+	p := samplePacket()
+	p.Flow.DstAddr = dst
+	if encap {
+		p.Encap = true
+		p.OuterSrc, p.OuterDst = 1, 2
+	}
+	return MarshalPacket(p)
+}
+
 func TestWireMalformedInputs(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":       {},
@@ -95,6 +107,12 @@ func TestWireMalformedInputs(t *testing.T) {
 		"bad-ihl":     append([]byte{0x4F}, make([]byte, 30)...),
 		"bad-total":   func() []byte { b := MarshalPacket(samplePacket()); binary.BigEndian.PutUint16(b[2:4], 9); return b }(),
 		"short-ports": func() []byte { b := MarshalPacket(samplePacket()); return b[:21] }(),
+		// The inner destination is the FIB key: only 198.18.0.0/16 maps to
+		// a destination id, so anything else must not alias one.
+		"router-dst":       marshalToAddr(RouterAddr(4), false),
+		"router-dst-encap": marshalToAddr(RouterAddr(4), true),
+		"198.19-dst":       marshalToAddr(0xC6130004, false),
+		"public-dst":       marshalToAddr(0x08080808, false),
 	}
 	for name, b := range cases {
 		if _, err := UnmarshalPacket(b); err == nil {
@@ -114,7 +132,7 @@ func TestAddrMappings(t *testing.T) {
 		t.Error("router addresses must live in 10/8")
 	}
 	if PrefixAddr(1)>>16 != 0xC612 {
-		t.Error("prefix addresses must live in 198.18/15")
+		t.Error("prefix addresses must live in 198.18/16")
 	}
 }
 

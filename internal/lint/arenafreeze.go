@@ -27,7 +27,7 @@ import (
 //     structure, or passing it to a callee the analyzer cannot prove
 //     read-only is a finding.
 //
-// The versioned FIB and trie generations keep their own, stricter
+// The versioned FIB generations keep their own, stricter
 // analyzer (fibtxn); arenafreeze covers the builder-published arenas that
 // have no transaction API — their entire write surface is the builder.
 

@@ -13,10 +13,10 @@ import (
 //
 //	//mifo:hotpath
 //
-// is part of the per-packet path (Forward, FIB.Lookup, the trie walk,
-// Trace.Emit, the drop/deflect bookkeeping) and must stay allocation- and
-// lock-free. Inside such a function (and the function literals it
-// contains) the analyzer flags:
+// is part of the per-packet path (Forward, FIB.Lookup, Trace.Emit, the
+// drop/deflect bookkeeping) and must stay allocation- and lock-free.
+// Inside such a function (and the function literals it contains) the
+// analyzer flags:
 //
 //   - calls into package fmt — formatting allocates and the hot path
 //     must build notes only behind an Enabled() guard;
@@ -31,11 +31,11 @@ import (
 //     resolvable call tree must opt in.
 //
 // The transitive check runs over the whole analysis set at Finish time,
-// so cross-package edges (dataplane -> obs, dataplane -> lpm) are
-// enforced without source-order coupling. Dynamic calls through function
-// values and interface methods are outside its reach — the data plane's
-// hook fields (Router.Hop, Router.Deflect) are the documented escape
-// hatches and their implementations own their cost.
+// so cross-package edges (dataplane -> obs) are enforced without
+// source-order coupling. Dynamic calls through function values and
+// interface methods are outside its reach — the data plane's hook fields
+// (Router.Hop, Router.Deflect) are the documented escape hatches and
+// their implementations own their cost.
 const hotpathFactKey = "hotpath"
 
 type hotpathFacts struct {

@@ -102,7 +102,14 @@ type Fabric struct {
 
 // NewFabric binds one loopback UDP socket per router and cross-wires peer
 // addresses according to the network's ports. Call Start to begin serving.
+// Destination ids travel as 198.18.0.0/16 addresses, so a network with an
+// AS id that does not fit (>= 1<<16) is refused rather than aliased.
 func NewFabric(n *dataplane.Network) (*Fabric, error) {
+	for _, r := range n.Routers {
+		if dataplane.PrefixFromAddr(dataplane.PrefixAddr(r.AS)) != r.AS {
+			return nil, fmt.Errorf("netd: router %d: AS %d does not fit a wire prefix address", r.ID, r.AS)
+		}
+	}
 	f := &Fabric{Net: n, deliveries: make(chan Delivery, 1024), reg: obs.NewRegistry()}
 	recv := f.reg.CounterVec("netd_received_total", "datagrams received on the node's UDP socket", "router")
 	inj := f.reg.CounterVec("netd_injected_total", "packets originated locally via Inject", "router")

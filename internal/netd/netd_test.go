@@ -49,6 +49,35 @@ func awaitDelivery(t *testing.T, f *Fabric, timeout time.Duration) (Delivery, bo
 	}
 }
 
+// Destination ids ride the wire as 198.18.0.0/16 addresses: a fabric
+// whose AS ids do not fit would alias AS 65540 onto AS 4, so NewFabric
+// must refuse it.
+func TestNewFabricRejectsWideASIDs(t *testing.T) {
+	cases := []struct {
+		as int32
+		ok bool
+	}{
+		{0, true},
+		{65535, true},
+		{65536, false},
+		{65540, false},
+		{-1, false},
+	}
+	for _, c := range cases {
+		n := dataplane.NewNetwork()
+		n.AddRouter(0)
+		n.AddRouter(c.as)
+		f, err := NewFabric(n)
+		if err == nil {
+			f.Start()
+			f.Stop()
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("AS %d: NewFabric err = %v, want ok=%v", c.as, err, c.ok)
+		}
+	}
+}
+
 func TestUDPDefaultDelivery(t *testing.T) {
 	dep, f := deployFig2a(t)
 	p := &dataplane.Packet{
